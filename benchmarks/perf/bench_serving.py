@@ -1,22 +1,18 @@
-"""Serving benchmark: batch replay vs. the incremental streaming scorer.
+"""Serving benchmark: batch replay vs. the budgeted streaming scorer.
 
 Writes ``BENCH_serving.json`` next to this file so successive PRs can track
 the performance trajectory. Run with::
 
     PYTHONPATH=src python benchmarks/perf/bench_serving.py
 
-Four arms, all replaying NURD over the tier-1 benchmark traces (6 jobs per
+Three arms, all replaying NURD over the tier-1 benchmark traces (6 jobs per
 family, tasks 120-180, seed 42 — the same configuration as
 ``benchmarks/conftest.py``):
 
-- **batch** — the preserved reference path: ``ReplaySimulator.run``
-  regenerates the full noise-perturbed feature matrix and rebuilds predictor
-  state at every checkpoint.
-- **incremental** — ``ReplaySimulator.run_incremental``: per-task feature
-  deltas and stream-held state, bit-identical flags to batch (the parity
-  suite enforces this; the benchmark re-checks and reports it).
+- **batch** — ``ReplaySimulator.run``: a full model refit at every
+  checkpoint.
 - **serving** — the :class:`~repro.serving.engine.ScoringEngine` operating
-  configuration: incremental streams + warm propensity continuation + a
+  configuration: the same replay streams + warm propensity continuation + a
   per-checkpoint latency budget that degrades to cached predictor state
   when the projected update cost would blow the budget. This is the arm the
   ≥2x checkpoints/sec acceptance gate applies to; its flag agreement vs.
@@ -27,8 +23,10 @@ family, tasks 120-180, seed 42 — the same configuration as
   sustained event throughput including queueing.
 
 Every arm reports checkpoints/sec; the engine arms also report p50/p99
-score latency from the engine's latency reservoir. ``--smoke`` shrinks the
-traces for CI freshness.
+score latency from the engine's latency reservoir. An untimed parity check
+replays every job through an unbudgeted ``ScoringEngine`` and requires its
+flags and flag times to equal the batch arm's exactly. ``--smoke`` shrinks
+the traces for CI freshness.
 """
 
 from __future__ import annotations
@@ -99,20 +97,22 @@ def bench_batch(traces, sim):
     return results, n_ckpt, elapsed
 
 
-def bench_incremental(traces, sim):
-    results, n_ckpt = [], 0
-    t0 = time.perf_counter()
-    for _, trace in traces:
-        for i, job in enumerate(trace):
-            res = sim.run_incremental(job, _predictor(i))
-            results.append(res)
-            n_ckpt += res.checkpoints.shape[0]
-    elapsed = time.perf_counter() - t0
-    return results, n_ckpt, elapsed
+def engine_matches_run(traces, sim, batch_results) -> bool:
+    """Unbudgeted engine flags and flag times equal ``sim.run``'s exactly."""
+    results = [
+        ScoringEngine(lambda i=i: _predictor(i), simulator=sim).run_job(job)
+        for _, trace in traces
+        for i, job in enumerate(trace)
+    ]
+    return all(
+        np.array_equal(a.y_flag, b.y_flag)
+        and np.array_equal(a.flag_times, b.flag_times)
+        for a, b in zip(batch_results, results)
+    )
 
 
 def bench_serving(traces, sim, budget):
-    """Engine arm: budgeted incremental scoring with warm propensity."""
+    """Engine arm: budgeted scoring with warm propensity."""
     engine = ScoringEngine(
         lambda: _predictor(bench_serving._i, warm_propensity=True),
         simulator=sim,
@@ -187,14 +187,8 @@ def main() -> None:
     batch_cps = n_ckpt / batch_s
     print(f"batch       : {n_ckpt} checkpoints in {batch_s:.2f}s = {batch_cps:.1f} ckpt/s")
 
-    inc_res, _, inc_s = bench_incremental(traces, sim)
-    inc_cps = n_ckpt / inc_s
-    parity = all(
-        np.array_equal(a.y_flag, b.y_flag)
-        and np.array_equal(a.flag_times, b.flag_times)
-        for a, b in zip(batch_res, inc_res)
-    )
-    print(f"incremental : {inc_s:.2f}s = {inc_cps:.1f} ckpt/s  bit-parity={parity}")
+    parity = engine_matches_run(traces, sim, batch_res)
+    print(f"parity      : unbudgeted engine == batch: {parity}")
 
     budget = BUDGET_FRACTION * (batch_s / n_ckpt)
     srv_res, _, srv_s, engine = bench_serving(traces, sim, budget)
@@ -237,13 +231,7 @@ def main() -> None:
             "checkpoints_per_sec": batch_cps,
             "mean_f1": _mean_f1(batch_res),
         },
-        "incremental": {
-            "seconds": inc_s,
-            "checkpoints_per_sec": inc_cps,
-            "speedup_vs_batch": inc_cps / batch_cps,
-            "bit_parity_with_batch": bool(parity),
-            "mean_f1": _mean_f1(inc_res),
-        },
+        "parity": {"engine_unbudgeted_matches_run": bool(parity)},
         "serving_budgeted": {
             "seconds": srv_s,
             "checkpoints_per_sec": srv_cps,
@@ -268,7 +256,7 @@ def main() -> None:
     print(f"wrote {out}")
 
     if not parity:
-        raise SystemExit("incremental path lost bit-parity with batch")
+        raise SystemExit("unbudgeted engine lost bit-parity with batch")
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ SPECS = {
         Check("aggregate.pass", "exact"),
     ],
     "BENCH_serving.json": [
-        Check("incremental.bit_parity_with_batch", "exact"),
+        Check("parity.engine_unbudgeted_matches_run", "exact"),
         Check("serving_budgeted.speedup_vs_batch", "ratio", rel_tol=0.6),
         Check("serving_budgeted.flag_agreement_vs_batch", "ratio", rel_tol=0.2),
     ],

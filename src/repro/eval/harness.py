@@ -183,10 +183,10 @@ def _replay_job(
     """Replay every method over one job — the unit of parallel work.
 
     All methods share one :class:`CheckpointPlan` (the grid, noise draw and
-    observed matrices are method-independent), so per-job setup runs once
-    rather than once per method. Each method still gets a fresh predictor
-    seeded from the job index, which keeps results bit-identical to the
-    serial, plan-less path regardless of scheduling.
+    τ_stra are method-independent), so the plan is drawn once rather than
+    once per method. Each method still gets a fresh predictor seeded from
+    the job index, which keeps results bit-identical to the serial,
+    plan-less path regardless of scheduling.
     """
     sim = config.make_simulator()
     plan = sim.plan(job)
@@ -439,9 +439,9 @@ def evaluate_all(
     """Evaluate several methods on the same trace (same simulator seed).
 
     Work is job-major: one unit replays all methods for one job, sharing
-    the job's checkpoint plan (grid, noise, observed features) across
-    methods. With ``n_workers > 1`` units stream through one shared pool
-    behind a bounded submission window; see :func:`evaluate_method` for
+    the job's checkpoint plan (grid, noise draw, τ_stra) across methods.
+    With ``n_workers > 1`` units stream through one shared pool behind a
+    bounded submission window; see :func:`evaluate_method` for
     ``fan_out``, ``progress``, ``retries`` and ``faults``.
     """
     config = config or EvaluationConfig()

@@ -1,7 +1,7 @@
-"""Online scoring service: the streaming counterpart of batch replay.
+"""Online scoring service: batch replay's checkpoint loop, driven by events.
 
-- :mod:`repro.serving.engine` — incremental scoring engine: many in-flight
-  jobs, per-checkpoint latency budget, cached-state degradation.
+- :mod:`repro.serving.engine` — scoring engine: many in-flight jobs,
+  per-checkpoint latency budget, cached-state degradation.
 - :mod:`repro.serving.service` — asyncio ingest-queue → score → emit loop
   with sharded workers and backpressure.
 - :mod:`repro.serving.stats` — latency reservoir for p50/p99 reporting.

@@ -1,11 +1,11 @@
-"""The incremental scoring engine behind the scorer service.
+"""The scoring engine behind the scorer service.
 
 One engine owns many concurrent job streams (one
-:class:`~repro.sim.replay.ReplayStream` each) and scores checkpoint events
-against them under an optional per-checkpoint latency budget. It is the
-synchronous core that :class:`repro.serving.service.ScorerService` drives
-from its async ingest queue, and is usable directly for single-threaded
-replay at serving speed.
+:class:`~repro.sim.replay.ReplayStream` each, the same checkpoint loop that
+batch replay runs) and scores checkpoint events against them under an
+optional per-checkpoint latency budget. It is the synchronous core that
+:class:`repro.serving.service.ScorerService` drives from its async ingest
+queue, and is usable directly for single-threaded replay at serving speed.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.serving.stats import LatencyStats
-from repro.sim.replay import (
-    ReplayResult,
-    ReplaySimulator,
-    ReplayStream,
-    StreamSnapshot,
-)
+from repro.sim.replay import ReplayResult, ReplaySimulator, ReplayStream
 from repro.traces.schema import Job
 from repro.utils.validation import check_job_payload
 
@@ -33,15 +28,15 @@ class ScoreEvent:
 
     job_id: str
     tau: float
-    seq: int                     # per-job checkpoint sequence number
-    newly_flagged: np.ndarray    # task indices flagged at this checkpoint
+    seq: int  # per-job checkpoint sequence number
+    newly_flagged: np.ndarray  # task indices flagged at this checkpoint
     n_running: int
     n_finished: int
-    scored: bool                 # False when nothing was running/finished
-    degraded: bool               # True when the budget degraded the update
-    update_mode: str             # "full" | "partial" | "cached" | "none"
-    latency_s: float             # end-to-end engine latency for the event
-    score_s: float               # predict_stragglers time alone
+    scored: bool  # False when nothing was running/finished
+    degraded: bool  # True when the budget degraded the update
+    update_mode: str  # "full" | "partial" | "cached" | "none"
+    latency_s: float  # end-to-end engine latency for the event
+    score_s: float  # predict_stragglers time alone
 
     def as_dict(self) -> Dict:
         return {
@@ -63,19 +58,20 @@ class ScoreEvent:
 class EngineSnapshot:
     """Frozen per-job engine state for crash recovery.
 
-    Pairs the stream's :class:`StreamSnapshot` with the engine's per-job
-    event sequence counter, so a restored job resumes emitting events with
-    the exact sequence numbers an uninterrupted run would have used —
-    which is what lets consumers dedup replayed events bit-exactly.
+    Pairs a frozen copy of the job's stream (see
+    :meth:`~repro.sim.replay.ReplayStream.snapshot`) with the engine's
+    per-job event sequence counter, so a restored job resumes emitting
+    events with the exact sequence numbers an uninterrupted run would have
+    used — which is what lets consumers dedup replayed events bit-exactly.
     """
 
     job_id: str
     seq: int
-    stream: StreamSnapshot
+    stream: ReplayStream
 
 
 class ScoringEngine:
-    """Scores checkpoint events for many in-flight jobs incrementally.
+    """Scores checkpoint events for many in-flight jobs, one event at a time.
 
     Parameters
     ----------
@@ -90,7 +86,7 @@ class ScoringEngine:
         update would exceed it, the checkpoint degrades to the cached
         predictor state (previous checkpoint's regressor and propensity
         weights) and only scoring runs. ``None`` disables the budget, making
-        every event bit-identical to the batch replay path.
+        every job bit-identical to :meth:`ReplaySimulator.run`.
     clock : callable
         Monotonic time source; injectable for deterministic tests.
     """
@@ -114,9 +110,7 @@ class ScoringEngine:
         self.score_stats = LatencyStats()
         self.degraded_events = 0
         self.scored_events = 0
-        self.update_mode_counts: Dict[str, int] = {
-            "full": 0, "partial": 0, "cached": 0
-        }
+        self.update_mode_counts: Dict[str, int] = {"full": 0, "partial": 0, "cached": 0}
 
     # ------------------------------------------------------------------
     @property
@@ -156,9 +150,7 @@ class ScoringEngine:
         """Advance ``job_id`` to checkpoint ``tau`` and emit its flags."""
         stream = self._stream(job_id)
         if not np.isfinite(tau):
-            raise ValueError(
-                f"job {job_id!r}: checkpoint time {tau!r} is not finite."
-            )
+            raise ValueError(f"job {job_id!r}: checkpoint time {tau!r} is not finite.")
         t0 = self.clock()
         out = stream.step(tau, budget=self.budget)
         latency = self.clock() - t0
@@ -213,9 +205,9 @@ class ScoringEngine:
                 f"job {snap.job_id!r} is already open; discard it before "
                 "restoring a snapshot."
             )
-        self._streams[snap.job_id] = ReplayStream.from_snapshot(
-            snap.stream, clock=self.clock
-        )
+        stream = snap.stream.snapshot()
+        stream.clock = self.clock
+        self._streams[snap.job_id] = stream
         self._seq[snap.job_id] = snap.seq
         return snap.job_id
 
@@ -239,9 +231,7 @@ class ScoringEngine:
             "scored_events": self.scored_events,
             "degraded_events": self.degraded_events,
             "degraded_fraction": (
-                self.degraded_events / self.scored_events
-                if self.scored_events
-                else 0.0
+                self.degraded_events / self.scored_events if self.scored_events else 0.0
             ),
             "update_modes": dict(self.update_mode_counts),
             "checkpoint_latency": self.checkpoint_stats.as_dict(),

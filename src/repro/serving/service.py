@@ -53,7 +53,7 @@ from repro.utils.validation import check_job_payload
 
 @dataclass
 class BeginJob:
-    """Register a job: warms up its incremental stream."""
+    """Register a job: warms up its replay stream."""
 
     job: Job
     tau_stra: Optional[float] = None
@@ -166,7 +166,7 @@ class ServiceConfig:
 
 
 class ScorerService:
-    """Async façade over the incremental scoring engine.
+    """Async façade over the scoring engine.
 
     Usage::
 

@@ -19,11 +19,11 @@ from repro.sim.mitigation import (
     random_flagger_result,
 )
 from repro.sim.replay import (
-    ReplaySimulator,
+    CheckpointPlan,
     ReplayResult,
+    ReplaySimulator,
     ReplayStream,
     StepOutcome,
-    StreamSnapshot,
 )
 from repro.sim.scheduler import (
     simulate_unlimited_machines,
@@ -41,11 +41,11 @@ __all__ = [
     "control_reports",
     "oracle_result",
     "random_flagger_result",
+    "CheckpointPlan",
     "ReplaySimulator",
     "ReplayResult",
     "ReplayStream",
     "StepOutcome",
-    "StreamSnapshot",
     "simulate_unlimited_machines",
     "simulate_limited_machines",
     "jct_reduction",

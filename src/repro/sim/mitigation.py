@@ -2,12 +2,13 @@
 
 The replay simulator and eval harness score predictors with F1 — a proxy.
 The paper's actual motivation is tail-latency reduction, so this module
-closes the loop: per-checkpoint flag decisions (from a
-:class:`~repro.sim.replay.ReplayResult`, a :class:`ReplayStream`, or live
-:class:`~repro.serving.engine.ScoreEvent` streams) trigger a pluggable
-mitigation policy against a finite :class:`~repro.sim.cluster.MachinePool`,
-and the report measures what operators care about: job completion time and
-p99/p99.9 task latency, per method, against a no-mitigation baseline.
+closes the loop: per-checkpoint flag decisions (a finished
+:class:`~repro.sim.replay.ReplayResult`, or the live
+:class:`~repro.serving.engine.ScoreEvent` stream of the same replay loop)
+trigger a pluggable mitigation policy against a finite
+:class:`~repro.sim.cluster.MachinePool`, and the report measures what
+operators care about: job completion time and p99/p99.9 task latency, per
+method, against a no-mitigation baseline.
 
 Three policies, all first-principles cluster-model knobs in the MLSYSIM
 spirit (mitigation cost, prediction lag, spare capacity):

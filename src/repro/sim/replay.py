@@ -7,6 +7,11 @@ The simulator feeds an :class:`~repro.core.base.OnlineStragglerPredictor`
 the observable information only, collects its straggler flags, and never
 lets a flagged task be evaluated again (paper §7.1).
 
+There is one checkpoint loop, :meth:`ReplayStream.step`. Batch replay
+(:meth:`ReplaySimulator.run`) steps a stream over every checkpoint of its
+:class:`CheckpointPlan`; the serving engine steps streams one event at a
+time, optionally under a per-checkpoint latency budget.
+
 Feature observability: a running task's monitored metrics are still
 converging toward their final values, so observed features at checkpoint t
 are the final features perturbed multiplicatively by noise that decays with
@@ -18,7 +23,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -42,11 +47,11 @@ class ReplayResult:
 
     job_id: str
     tau_stra: float
-    y_true: np.ndarray          # ground-truth straggler mask
-    y_flag: np.ndarray          # predicted straggler mask (flagged at any point)
-    flag_times: np.ndarray      # time each task was flagged (inf = never)
-    checkpoints: np.ndarray     # the τ_run_t grid used
-    latencies: np.ndarray       # true task execution times (for schedulers)
+    y_true: np.ndarray  # ground-truth straggler mask
+    y_flag: np.ndarray  # predicted straggler mask (flagged at any point)
+    flag_times: np.ndarray  # time each task was flagged (inf = never)
+    checkpoints: np.ndarray  # the τ_run_t grid used
+    latencies: np.ndarray  # true task execution times (for schedulers)
     #: Task start times; ``None`` means all tasks start at time 0.
     start_times: Optional[np.ndarray] = field(default=None)
     meta: Dict = field(default_factory=dict)
@@ -105,20 +110,13 @@ class ReplayResult:
 class CheckpointPlan:
     """Method-independent replay state for one job, shareable across methods.
 
-    The simulator seeds its RNG per run from ``random_state`` — not per
-    method — so every predictor replaying the same job consumes the same
-    checkpoint grid, the same observation-noise draw, and therefore the same
-    observed feature matrix at each checkpoint. A plan computes the grid and
-    noise once and lazily caches each checkpoint's observed matrix the first
-    time any method asks for it; replaying the next method against the same
-    plan reuses them all.
-
+    The simulator seeds its RNG per plan from ``random_state`` — not per
+    method — so every predictor replaying the same job sees the same
+    checkpoint grid, the same observation-noise draw and the same τ_stra.
     Build with :meth:`ReplaySimulator.plan` and pass to
-    :meth:`ReplaySimulator.run` via ``plan=``. Running with a plan is
-    bit-identical to running without one (enforced by
-    ``tests/test_trace_store.py``). Cached matrices are frozen read-only;
-    the boolean-mask slices ``run`` hands predictors are copies, so sharing
-    is invisible to them.
+    :meth:`ReplaySimulator.run` or :meth:`ReplaySimulator.stream` via
+    ``plan=``; replaying with a plan is bit-identical to replaying without
+    one (enforced by ``tests/test_trace_store.py``).
     """
 
     def __init__(
@@ -126,14 +124,14 @@ class CheckpointPlan:
     ):
         self.sim = sim
         self.job = job
-        # Same RNG consumption order as a plan-less run: seed, grid, noise.
+        # The noise is the first draw from the simulator seed, so same-seed
+        # replays of a job observe the same features.
         rng = check_random_state(sim.random_state)
         self.grid = sim.checkpoint_grid(job)
         self.noise_matrix = rng.normal(0.0, 1.0, size=job.features.shape)
         if tau_stra is None:
             tau_stra = job.straggler_threshold(sim.straggler_percentile)
         self.tau_stra = float(tau_stra)
-        self._observed: Dict[float, np.ndarray] = {}
 
     @property
     def warmup_time(self) -> float:
@@ -144,18 +142,8 @@ class CheckpointPlan:
         return self.grid[1:]
 
     def observed(self, tau: float) -> np.ndarray:
-        """Observed features at ``tau``; computed once, then served frozen."""
-        key = float(tau)
-        X = self._observed.get(key)
-        if X is None:
-            X = self.sim.observed_features(self.job, key, self.noise_matrix)
-            if X is self.job.features:
-                # Noise disabled: the job's own (writable) matrix is returned
-                # as-is; nothing to cache or freeze.
-                return X
-            X.setflags(write=False)
-            self._observed[key] = X
-        return X
+        """Observed features of every task at ``tau``."""
+        return self.sim.observed_features(self.job, tau, self.noise_matrix)
 
 
 class ReplaySimulator:
@@ -225,9 +213,7 @@ class ReplaySimulator:
         t_end = 0.98 * float(completion.max())
         t_end = max(t_end, warmup_time * (1.0 + 1e-9))
         if self.grid == "log":
-            grid = np.geomspace(
-                max(warmup_time, 1e-9), t_end, self.n_checkpoints + 1
-            )
+            grid = np.geomspace(max(warmup_time, 1e-9), t_end, self.n_checkpoints + 1)
         elif self.grid == "time":
             grid = np.linspace(warmup_time, t_end, self.n_checkpoints + 1)
         else:
@@ -264,10 +250,32 @@ class ReplaySimulator:
         """Precompute the method-independent replay state for ``job``.
 
         Pass the plan to :meth:`run` for every method replaying this job so
-        the checkpoint grid, noise draw and observed matrices are computed
-        once rather than once per method.
+        the checkpoint grid and noise draw are made once rather than once
+        per method.
         """
         return CheckpointPlan(self, job, tau_stra=tau_stra)
+
+    def stream(
+        self,
+        job: Job,
+        predictor: OnlineStragglerPredictor,
+        tau_stra: Optional[float] = None,
+        clock: Callable[[], float] = time.perf_counter,
+        plan: Optional[CheckpointPlan] = None,
+    ) -> "ReplayStream":
+        """Open a checkpoint stream for ``job``, warmed up and ready to step.
+
+        Without ``plan`` a fresh :meth:`plan` is drawn; a given ``tau_stra``
+        overrides the plan's.
+        """
+        if plan is None:
+            plan = self.plan(job, tau_stra=tau_stra)
+        elif plan.job is not job:
+            raise ValueError(
+                f"plan was built for job {plan.job.job_id!r}, not "
+                f"{job.job_id!r}; plans are per-job."
+            )
+        return ReplayStream(plan, predictor, tau_stra=tau_stra, clock=clock)
 
     def run(
         self,
@@ -277,170 +285,15 @@ class ReplaySimulator:
         plan: Optional[CheckpointPlan] = None,
     ) -> ReplayResult:
         """Replay ``job`` through ``predictor`` and score the outcome."""
-        if plan is None:
-            plan = self.plan(job, tau_stra=tau_stra)
-        elif plan.job is not job:
-            raise ValueError(
-                f"plan was built for job {plan.job.job_id!r}, not "
-                f"{job.job_id!r}; plans are per-job."
-            )
-        n = job.n_tasks
-        y = job.latencies
-        starts = job.start_times
-        completion = job.completion_times
-        if tau_stra is None:
-            tau_stra = plan.tau_stra
-        grid = plan.grid
-        warmup_time, checkpoints = grid[0], grid[1:]
-
-        finished = completion <= warmup_time
-        if not finished.any():
-            # Degenerate grid; force the earliest completion to count.
-            finished = completion <= completion.min()
-        flagged = np.zeros(n, dtype=bool)
-        flag_times = np.full(n, np.inf)
-
-        X0 = plan.observed(warmup_time)
-        running0 = (starts <= warmup_time) & ~finished & ~flagged
-        if running0.any():
-            predictor.begin_job(
-                X0[finished], y[finished], X0[running0], tau_stra
-            )
-        else:
-            predictor.begin_job(
-                X0[finished], y[finished], X0[finished], tau_stra
-            )
-        for tau in checkpoints:
-            finished = completion <= tau
-            # Only tasks that have actually started are observable.
-            running = (starts <= tau) & ~finished & ~flagged
-            if not finished.any():
-                continue
-            if not running.any():
-                continue
-            X_tau = plan.observed(tau)
-            # Finished tasks' metrics are final; use exact features for them.
-            X_fin = job.features[finished]
-            y_fin = y[finished]
-            elapsed_run = tau - starts[running]
-            predictor.update(X_fin, y_fin, X_tau[running], elapsed_run)
-            flags = np.asarray(
-                predictor.predict_stragglers(X_tau[running]), dtype=bool
-            )
-            if flags.shape[0] != int(running.sum()):
-                raise ValueError(
-                    f"{predictor.name} returned {flags.shape[0]} flags for "
-                    f"{int(running.sum())} running tasks."
-                )
-            idx = np.nonzero(running)[0][flags]
-            flagged[idx] = True
-            flag_times[idx] = tau
-
-        return ReplayResult(
-            job_id=job.job_id,
-            tau_stra=float(tau_stra),
-            y_true=job.latencies >= tau_stra,
-            y_flag=flagged,
-            flag_times=flag_times,
-            checkpoints=checkpoints,
-            latencies=y.copy(),
-            start_times=starts.copy(),
-            meta={"warmup_time": float(warmup_time)},
-        )
-
-    def run_trace(
-        self, trace, predictor_factory, tau_stra: Optional[float] = None
-    ) -> List[ReplayResult]:
-        """Replay every job of a trace; a fresh predictor per job.
-
-        ``predictor_factory`` is a zero-argument callable returning a new
-        predictor (the paper trains one model per job).
-        """
-        results = []
-        for job in trace:
-            predictor = predictor_factory()
-            results.append(self.run(job, predictor, tau_stra=tau_stra))
-        return results
-
-    # ------------------------------------------------------------------
-    def stream(
-        self,
-        job: Job,
-        predictor: OnlineStragglerPredictor,
-        tau_stra: Optional[float] = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "ReplayStream":
-        """Open an incremental checkpoint stream for ``job``.
-
-        The stream reproduces :meth:`run` bit-for-bit (same RNG consumption,
-        same arithmetic per task row) while touching only the tasks whose
-        observation-noise scale changed since the previous checkpoint.
-        """
-        return ReplayStream(self, job, predictor, tau_stra=tau_stra, clock=clock)
-
-    def run_incremental(
-        self,
-        job: Job,
-        predictor: OnlineStragglerPredictor,
-        tau_stra: Optional[float] = None,
-        budget: Optional[float] = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> ReplayResult:
-        """Replay ``job`` through the incremental checkpoint path.
-
-        With ``budget=None`` the outcome is bit-identical to :meth:`run`
-        (enforced by ``tests/test_streaming_parity.py``). A finite ``budget``
-        (seconds per checkpoint) enables the latency-budget fast path: when
-        the projected model-update cost would blow the budget, the checkpoint
-        is scored with the cached predictor state instead (see
-        :meth:`ReplayStream.step`).
-        """
-        stream = self.stream(job, predictor, tau_stra=tau_stra, clock=clock)
+        stream = self.stream(job, predictor, tau_stra=tau_stra, plan=plan)
         for tau in stream.checkpoints:
-            stream.step(tau, budget=budget)
+            stream.step(tau)
         return stream.result()
 
 
 @dataclass
-class StreamSnapshot:
-    """Frozen mid-replay state of a :class:`ReplayStream`.
-
-    Captures everything a restarted stream needs to continue bit-identically:
-    a deep copy of the predictor, the cached observation matrix and noise
-    scales, flag state, the forward-only cursor, and the latency-budget
-    bookkeeping. The job, simulator, noise draw and checkpoint grid are
-    shared by reference — all immutable after stream construction.
-
-    A snapshot is restorable any number of times:
-    :meth:`ReplayStream.from_snapshot` copies the stored state again rather
-    than adopting it, so two streams restored from the same snapshot never
-    alias each other.
-    """
-
-    sim: ReplaySimulator
-    job: Job
-    predictor: OnlineStragglerPredictor
-    tau_stra: float
-    warmup_time: float
-    checkpoints: np.ndarray
-    noise: np.ndarray
-    X_obs: np.ndarray
-    scale: np.ndarray
-    flagged: np.ndarray
-    flag_times: np.ndarray
-    last_tau: float
-    n_updates: int
-    update_cost: Optional[float]
-    partial_cost: Optional[float]
-    score_cost: Optional[float]
-    credit: float
-    degraded_checkpoints: int
-    refreshed_rows_total: int
-
-
-@dataclass
 class StepOutcome:
-    """What happened at one incremental checkpoint."""
+    """What happened at one checkpoint."""
 
     tau: float
     n_finished: int = 0
@@ -448,29 +301,24 @@ class StepOutcome:
     newly_flagged: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.intp)
     )
-    scored: bool = False        # False when the checkpoint had nothing to score
-    updated: bool = False       # False when the budget degraded the update
+    scored: bool = False  # False when the checkpoint had nothing to score
+    updated: bool = False  # False when the budget degraded the update
     #: "full" = complete refit; "partial" = predictor.partial_update (e.g.
     #: NURD's propensity-only refresh); "cached" = scored on stale state;
     #: "none" = nothing finished/running, checkpoint skipped.
     update_mode: str = "none"
-    refreshed_rows: int = 0     # noise rows re-scaled by the delta update
     update_seconds: float = 0.0
     score_seconds: float = 0.0
 
 
 class ReplayStream:
-    """Incremental (streaming) checkpoint path of :class:`ReplaySimulator`.
+    """One job replayed checkpoint by checkpoint through one predictor.
 
-    Instead of regenerating the full noise-perturbed ``observed_features``
-    matrix at every checkpoint, the stream keeps a cached observation matrix
-    and a per-task noise row store keyed by task index (one draw per job from
-    the simulator RNG — the exact draw the batch path makes, so both paths
-    see bit-identical noise). At each checkpoint only the rows whose noise
-    scale changed — running tasks, plus tasks that just started or finished —
-    are re-scaled; rows finished (observed exactly) or not yet started keep
-    their cached values, which the decaying-noise model makes exact, not an
-    approximation.
+    Construction warms the predictor up on the tasks finished by the plan's
+    warmup instant. Each :meth:`step` then reveals the tasks finished by
+    ``tau`` (exact features and true latencies), updates the predictor on
+    them, and flags running tasks from their observed features
+    (:meth:`CheckpointPlan.observed`). A flagged task is never scored again.
 
     The per-checkpoint latency budget (``step(budget=...)``) implements the
     serving fast path: an EWMA of past update/score costs projects the next
@@ -484,7 +332,8 @@ class ReplayStream:
     cached latency regressor) and the credit covers its projected cost, the
     partial tier runs; otherwise ``predict_stragglers`` runs on the fully
     cached state — the previous refit's regressor and propensity weights.
-    The first update of a job always runs, whatever the budget.
+    The first update of a job always runs, whatever the budget. With
+    ``budget=None`` every checkpoint is a full update.
 
     Use :meth:`ReplaySimulator.stream` to construct; drive with :meth:`step`
     over ``self.checkpoints`` (strictly increasing ``tau``) and collect the
@@ -496,166 +345,67 @@ class ReplayStream:
 
     def __init__(
         self,
-        sim: ReplaySimulator,
-        job: Job,
+        plan: CheckpointPlan,
         predictor: OnlineStragglerPredictor,
         tau_stra: Optional[float] = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
-        self.sim = sim
-        self.job = job
+        self.plan = plan
+        self.job = plan.job
         self.predictor = predictor
         self.clock = clock
-        rng = check_random_state(sim.random_state)
-        n = job.n_tasks
-        if tau_stra is None:
-            tau_stra = job.straggler_threshold(sim.straggler_percentile)
-        self.tau_stra = float(tau_stra)
-        grid = sim.checkpoint_grid(job)
-        self.warmup_time = float(grid[0])
-        self.checkpoints = grid[1:]
-        # Per-task noise rows: the same single draw the batch path makes, so
-        # delta-updated rows reproduce its arithmetic bit-for-bit.
-        self._noise = rng.normal(0.0, 1.0, size=job.features.shape)
-        self._X_obs = np.array(job.features, dtype=np.float64, copy=True)
-        self._scale = np.full(n, np.nan)  # NaN: every row dirty at warmup
+        self.tau_stra = plan.tau_stra if tau_stra is None else float(tau_stra)
+        n = self.job.n_tasks
         self.flagged = np.zeros(n, dtype=bool)
         self.flag_times = np.full(n, np.inf)
-        self._last_tau = self.warmup_time
+        self._last_tau = plan.warmup_time
         self._n_updates = 0
         self._update_cost: Optional[float] = None
         self._partial_cost: Optional[float] = None
         self._score_cost: Optional[float] = None
         self._credit = 0.0
         self.degraded_checkpoints = 0
-        self.refreshed_rows_total = 0
         self._begin()
 
-    # -- feature deltas -------------------------------------------------
-    def _refresh_observed(self, tau: float) -> np.ndarray:
-        """Bring the cached observation matrix up to time ``tau``.
+    @property
+    def warmup_time(self) -> float:
+        return self.plan.warmup_time
 
-        Returns the number of rows re-scaled (0 when noise is disabled).
-        """
-        job = self.job
-        if self.sim.feature_noise == 0.0:
-            return 0
-        elapsed = np.maximum(tau - job.start_times, 0.0)
-        progress = np.minimum(1.0, elapsed / job.latencies)
-        scale = self.sim.feature_noise * (1.0 - progress)
-        changed = scale != self._scale  # NaN compares unequal: dirty rows too
-        n_changed = int(np.count_nonzero(changed))
-        if n_changed:
-            rows = np.nonzero(changed)[0]
-            X = job.features[rows] * (1.0 + scale[rows, None] * self._noise[rows])
-            self._X_obs[rows] = np.maximum(X, 0.0)
-            self._scale[rows] = scale[rows]
-            self.refreshed_rows_total += n_changed
-        return n_changed
-
-    def observed_features(self) -> np.ndarray:
-        """The cached observation matrix as of the last *scored* checkpoint.
-
-        Skipped checkpoints (nothing finished or nothing running) consume no
-        observations, so — exactly like the batch path — the matrix is not
-        advanced for them.
-        """
-        if self.sim.feature_noise == 0.0:
-            return self.job.features
-        return self._X_obs
-
-    # -- lifecycle ------------------------------------------------------
-    def _begin(self) -> None:
-        job, y = self.job, self.job.latencies
-        starts, completion = job.start_times, job.completion_times
-        finished = completion <= self.warmup_time
-        if not finished.any():
-            # Degenerate grid; force the earliest completion to count.
-            finished = completion <= completion.min()
-        self._refresh_observed(self.warmup_time)
-        X0 = self.observed_features()
-        running0 = (starts <= self.warmup_time) & ~finished & ~self.flagged
-        if running0.any():
-            self.predictor.begin_job(
-                X0[finished], y[finished], X0[running0], self.tau_stra
-            )
-        else:
-            self.predictor.begin_job(
-                X0[finished], y[finished], X0[finished], self.tau_stra
-            )
+    @property
+    def checkpoints(self) -> np.ndarray:
+        return self.plan.checkpoints
 
     @property
     def last_tau(self) -> float:
         """The last checkpoint stepped (the warmup instant before any step)."""
         return self._last_tau
 
+    def _begin(self) -> None:
+        job, y, warmup = self.job, self.job.latencies, self.warmup_time
+        completion = job.completion_times
+        finished = completion <= warmup
+        if not finished.any():
+            # Degenerate grid; force the earliest completion to count.
+            finished = completion <= completion.min()
+        X0 = self.plan.observed(warmup)
+        running0 = (job.start_times <= warmup) & ~finished
+        X_run0 = X0[running0] if running0.any() else X0[finished]
+        self.predictor.begin_job(X0[finished], y[finished], X_run0, self.tau_stra)
+
     # -- crash recovery -------------------------------------------------
-    def snapshot(self) -> StreamSnapshot:
-        """Freeze the stream's full state for later bit-identical resume.
+    def snapshot(self) -> "ReplayStream":
+        """A frozen copy of the stream for later bit-identical resume.
 
-        The predictor is deep-copied (its fitted state is the expensive,
-        mutable part); cached arrays are copied; the job, simulator, noise
-        draw and checkpoint grid are shared by reference since the stream
-        never mutates them after construction.
+        Everything the stream mutates — predictor, flags, cursor and budget
+        state — is deep-copied; the plan, job, simulator and clock are
+        shared by reference. Stepping the copy over the remaining
+        checkpoints yields the flags and flag times of the uninterrupted
+        stream (enforced by ``tests/test_faults.py``). Restore by taking a
+        snapshot of the snapshot, which leaves it untouched for the next
+        restore.
         """
-        return StreamSnapshot(
-            sim=self.sim,
-            job=self.job,
-            predictor=copy.deepcopy(self.predictor),
-            tau_stra=self.tau_stra,
-            warmup_time=self.warmup_time,
-            checkpoints=self.checkpoints,
-            noise=self._noise,
-            X_obs=self._X_obs.copy(),
-            scale=self._scale.copy(),
-            flagged=self.flagged.copy(),
-            flag_times=self.flag_times.copy(),
-            last_tau=self._last_tau,
-            n_updates=self._n_updates,
-            update_cost=self._update_cost,
-            partial_cost=self._partial_cost,
-            score_cost=self._score_cost,
-            credit=self._credit,
-            degraded_checkpoints=self.degraded_checkpoints,
-            refreshed_rows_total=self.refreshed_rows_total,
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snap: StreamSnapshot,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "ReplayStream":
-        """Rebuild a stream from ``snap``, resuming exactly where it froze.
-
-        Stepping the restored stream over the remaining checkpoints yields
-        flags and flag times bit-identical to the uninterrupted stream
-        (enforced by ``tests/test_faults.py``). The snapshot itself is left
-        untouched — its predictor and arrays are copied again — so it can
-        seed any number of restores.
-        """
-        stream = object.__new__(cls)
-        stream.sim = snap.sim
-        stream.job = snap.job
-        stream.predictor = copy.deepcopy(snap.predictor)
-        stream.clock = clock
-        stream.tau_stra = snap.tau_stra
-        stream.warmup_time = snap.warmup_time
-        stream.checkpoints = snap.checkpoints
-        stream._noise = snap.noise
-        stream._X_obs = snap.X_obs.copy()
-        stream._scale = snap.scale.copy()
-        stream.flagged = snap.flagged.copy()
-        stream.flag_times = snap.flag_times.copy()
-        stream._last_tau = snap.last_tau
-        stream._n_updates = snap.n_updates
-        stream._update_cost = snap.update_cost
-        stream._partial_cost = snap.partial_cost
-        stream._score_cost = snap.score_cost
-        stream._credit = snap.credit
-        stream.degraded_checkpoints = snap.degraded_checkpoints
-        stream.refreshed_rows_total = snap.refreshed_rows_total
-        return stream
+        shared = (self.plan, self.plan.sim, self.job, self.clock)
+        return copy.deepcopy(self, {id(obj): obj for obj in shared})
 
     def step(self, tau: float, budget: Optional[float] = None) -> StepOutcome:
         """Advance the stream to checkpoint ``tau`` and score running tasks.
@@ -671,8 +421,8 @@ class ReplayStream:
             )
         self._last_tau = tau
         job, y = self.job, self.job.latencies
-        completion = job.completion_times
-        finished = completion <= tau
+        finished = job.completion_times <= tau
+        # Only tasks that have actually started are observable.
         running = (job.start_times <= tau) & ~finished & ~self.flagged
         out = StepOutcome(
             tau=tau,
@@ -681,9 +431,7 @@ class ReplayStream:
         )
         if not finished.any() or not running.any():
             return out
-        refreshed = self._refresh_observed(tau)
-        out.refreshed_rows = refreshed
-        X_run = self.observed_features()[running]
+        X_run = self.plan.observed(tau)[running]
         mode = "full"
         partial = getattr(self.predictor, "partial_update", None)
         if budget is not None and self._n_updates > 0:
@@ -696,19 +444,19 @@ class ReplayStream:
                     or self._partial_cost + score_est <= self._credit
                 ):
                     mode = "partial"
+        # Finished tasks' metrics are final; use exact features for them.
+        X_fin, y_fin = job.features[finished], y[finished]
         elapsed_run = tau - job.start_times[running]
         if mode == "full":
             t0 = self.clock()
-            self.predictor.update(
-                job.features[finished], y[finished], X_run, elapsed_run
-            )
+            self.predictor.update(X_fin, y_fin, X_run, elapsed_run)
             out.update_seconds = self.clock() - t0
             self._update_cost = self._ewma(self._update_cost, out.update_seconds)
             self._n_updates += 1
             out.updated = True
         elif mode == "partial":
             t0 = self.clock()
-            partial(job.features[finished], y[finished], X_run, elapsed_run)
+            partial(X_fin, y_fin, X_run, elapsed_run)
             out.update_seconds = self.clock() - t0
             self._partial_cost = self._ewma(self._partial_cost, out.update_seconds)
             self.degraded_checkpoints += 1
@@ -752,9 +500,7 @@ class ReplayStream:
             start_times=job.start_times.copy(),
             meta={
                 "warmup_time": self.warmup_time,
-                "mode": "incremental",
                 "degraded_checkpoints": self.degraded_checkpoints,
-                "refreshed_rows": self.refreshed_rows_total,
                 "updates": self._n_updates,
             },
         )

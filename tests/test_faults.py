@@ -39,7 +39,7 @@ from repro.serving import (
     ServiceConfig,
     ServiceFailure,
 )
-from repro.sim.replay import ReplaySimulator, ReplayStream
+from repro.sim.replay import ReplaySimulator
 from repro.traces.google import GoogleTraceGenerator
 from repro.traces.io import TraceStore, load_trace_csv, save_trace_csv, save_trace_npz
 from repro.traces.schema import Job, Trace
@@ -72,6 +72,18 @@ class CountingPredictor:
         flags = np.zeros(n, dtype=bool)
         flags[:: self.flag_every] = n > self.flag_every
         return flags
+
+
+class _TickClock:
+    """Advances one second per read, so every operation the stream times
+    costs exactly one second wherever it runs."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
 
 
 class SleepRecorder:
@@ -399,27 +411,41 @@ class TestSnapshots:
     def _sim(self):
         return ReplaySimulator(n_checkpoints=8, random_state=0)
 
-    def test_stream_snapshot_resumes_bit_identically(self):
+    @pytest.mark.parametrize("case", ["small-job", "trace-job", "budgeted"])
+    def test_snapshot_restore_at_every_checkpoint(self, case, google_trace):
+        """Invariant: a stream snapshotted after any step k and restored
+        twice finishes bit-identically to the uninterrupted stream, and the
+        source's later steps never reach the snapshot. The budgeted case
+        runs NURD's budget tiers on a tick clock, so the EWMA costs and the
+        banked credit ride through the snapshot too."""
         sim = self._sim()
-        job = _job(n=60, seed=4)
-        baseline = sim.stream(job, NurdPredictor(random_state=0))
-        for tau in baseline.checkpoints:
-            baseline.step(tau)
-        expected = baseline.result()
+        job = google_trace[0] if case == "trace-job" else _job(n=60, seed=4)
+        budget, clock = (0.7, _TickClock()) if case == "budgeted" else (None, None)
+        kwargs = {} if clock is None else {"clock": clock}
+        stream = sim.stream(job, NurdPredictor(random_state=0), **kwargs)
+        snaps, steps = [], []
+        for tau in stream.checkpoints:
+            snaps.append((stream.snapshot(), stream.flag_times.copy()))
+            steps.append(stream.step(tau, budget=budget))
+        snaps.append((stream.snapshot(), stream.flag_times.copy()))
+        expected = stream.result()
+        modes = {out.update_mode for out in steps if out.scored}
+        assert modes == ({"full", "partial", "cached"} if budget else {"full"})
 
-        stream = sim.stream(job, NurdPredictor(random_state=0))
-        for tau in stream.checkpoints[:4]:
-            stream.step(tau)
-        snap = stream.snapshot()
-
-        for restore_round in range(2):  # one snapshot, two resurrections
-            resumed = ReplayStream.from_snapshot(snap)
-            assert resumed.last_tau == stream.checkpoints[3]
-            for tau in resumed.checkpoints[4:]:
-                resumed.step(tau)
-            got = resumed.result()
-            np.testing.assert_array_equal(got.y_flag, expected.y_flag)
-            np.testing.assert_array_equal(got.flag_times, expected.flag_times)
+        for k, (snap, flag_times_at_k) in enumerate(snaps):
+            # The source stepped on after this snapshot; the snapshot held.
+            assert snap.predictor is not stream.predictor
+            np.testing.assert_array_equal(snap.flag_times, flag_times_at_k)
+            for restore_round in range(2):  # one snapshot, two resurrections
+                resumed = snap.snapshot()
+                got = [resumed.step(t, budget=budget) for t in resumed.checkpoints[k:]]
+                for want, out in zip(steps[k:], got):
+                    assert out.update_mode == want.update_mode
+                    np.testing.assert_array_equal(out.newly_flagged, want.newly_flagged)
+                res = resumed.result()
+                np.testing.assert_array_equal(res.y_flag, expected.y_flag)
+                np.testing.assert_array_equal(res.flag_times, expected.flag_times)
+                assert res.meta == expected.meta
 
     def test_snapshot_isolated_from_source_stream(self):
         sim = self._sim()

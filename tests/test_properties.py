@@ -127,9 +127,9 @@ def test_replay_result_f1_at_time_monotone(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Streaming-replay invariants (PR 6): the incremental checkpoint path must
-# uphold the replay contract for *any* predictor behavior, so the stream is
-# driven by a randomized flagger rather than a real model.
+# Streaming-replay invariants: the checkpoint loop must uphold the replay
+# contract for *any* predictor behavior, so the stream is driven by a
+# randomized flagger rather than a real model.
 # ---------------------------------------------------------------------------
 
 

@@ -145,11 +145,6 @@ class TestReplaySimulator:
         assert res.tau_stra == 123.0
         np.testing.assert_array_equal(res.y_true, job.latencies >= 123.0)
 
-    def test_run_trace_fresh_predictor_per_job(self, google_trace):
-        sim = ReplaySimulator(n_checkpoints=4, random_state=0)
-        results = sim.run_trace(google_trace, lambda: NeverRule())
-        assert len(results) == len(google_trace)
-
     def test_streaming_f1_shape_and_final_value(self):
         job = _oracle_job()
         tau = job.straggler_threshold()

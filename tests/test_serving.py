@@ -220,7 +220,7 @@ class TestScoringEngine:
         sim = ReplaySimulator(n_checkpoints=6, random_state=0)
         jobs = [_job(seed=1, job_id="a"), _job(seed=2, job_id="b")]
         solo = {
-            j.job_id: sim.run_incremental(j, NurdPredictor(random_state=0))
+            j.job_id: sim.run(j, NurdPredictor(random_state=0))
             for j in jobs
         }
         engine = ScoringEngine(

@@ -1,45 +1,96 @@
-"""Batch ↔ incremental checkpoint-path parity (PR 6's acceptance gate).
+"""Replay parity: every production replay path equals the reference loop.
 
-``ReplaySimulator.run`` is the preserved batch reference: it regenerates the
-full noise-perturbed observation matrix at every checkpoint. The incremental
-path (``ReplaySimulator.run_incremental`` / ``ReplayStream``) must reproduce
-it **bit-for-bit** — same RNG consumption, same arithmetic per task row —
-on both synthetic trace families, including duplicate-task, zero-noise and
-staggered-start edge cases. The serving engine and async service sit on top
-of the same stream, so their unbudgeted output is checked against the batch
-reference too.
+``tests/replay_reference.py`` holds the self-contained batch replay loop,
+which regenerates the full noise-perturbed observation matrix at every
+checkpoint. The production paths all step one :class:`ReplayStream` per
+job — ``ReplaySimulator.run``, the unbudgeted ``ScoringEngine.run_job`` and
+the async ``ScorerService`` — and each must reproduce the reference
+**bit-for-bit** (same RNG consumption, same arithmetic per task row) on
+both synthetic trace families, several methods, every grid mode, and the
+duplicate-task, zero-noise, staggered-start and all-finish-at-warmup jobs.
 """
 
 import asyncio
 
 import numpy as np
 import pytest
+from replay_reference import reference_run
 
 from repro.core.nurd import NurdNcPredictor, NurdPredictor
 from repro.eval.baselines import build_predictor
-from repro.serving import ScoringEngine, ScorerService, ServiceConfig
+from repro.serving import ScorerService, ScoringEngine, ServiceConfig
 from repro.sim.replay import ReplaySimulator
 from repro.traces.schema import Job
 
 
-def assert_replay_equal(batch, incremental):
+def assert_replay_equal(expected, got):
     """Field-for-field bitwise equality of two ReplayResults."""
-    assert batch.job_id == incremental.job_id
-    assert batch.tau_stra == incremental.tau_stra
-    np.testing.assert_array_equal(batch.y_true, incremental.y_true)
-    np.testing.assert_array_equal(batch.y_flag, incremental.y_flag)
-    np.testing.assert_array_equal(batch.flag_times, incremental.flag_times)
-    np.testing.assert_array_equal(batch.checkpoints, incremental.checkpoints)
-    np.testing.assert_array_equal(batch.latencies, incremental.latencies)
-    np.testing.assert_array_equal(batch.start_times, incremental.start_times)
+    assert expected.job_id == got.job_id
+    assert expected.tau_stra == got.tau_stra
+    np.testing.assert_array_equal(expected.y_true, got.y_true)
+    np.testing.assert_array_equal(expected.y_flag, got.y_flag)
+    np.testing.assert_array_equal(expected.flag_times, got.flag_times)
+    np.testing.assert_array_equal(expected.checkpoints, got.checkpoints)
+    np.testing.assert_array_equal(expected.latencies, got.latencies)
+    np.testing.assert_array_equal(expected.start_times, got.start_times)
 
 
-def both_paths(sim, job, seed, **nurd_kwargs):
-    batch = sim.run(job, NurdPredictor(random_state=seed, **nurd_kwargs))
-    inc = sim.run_incremental(
-        job, NurdPredictor(random_state=seed, **nurd_kwargs)
-    )
-    return batch, inc
+class SeqFactory:
+    """Zero-argument predictor factory for the serving layer: call ``k``
+    builds ``make_predictor(k)``. The engine and service build one
+    predictor per registered job, so registering jobs in order gives job
+    ``i`` the predictor ``make_predictor(i)``."""
+
+    def __init__(self, make_predictor):
+        self.make_predictor = make_predictor
+        self.calls = 0
+
+    def __call__(self):
+        pred = self.make_predictor(self.calls)
+        self.calls += 1
+        return pred
+
+
+def serve(sim, jobs, make_predictor):
+    """Replay ``jobs`` through a 2-shard ScorerService; ``replay_trace``
+    registers them in order."""
+
+    async def run():
+        svc = ScorerService(
+            SeqFactory(make_predictor),
+            simulator=sim,
+            config=ServiceConfig(n_workers=2, queue_depth=8),
+        )
+        await svc.start()
+        results = await svc.replay_trace(trace=jobs)
+        await svc.stop()
+        return results
+
+    return asyncio.run(run())
+
+
+def assert_paths_match_reference(sim, jobs, make_predictor):
+    """``run``, the unbudgeted engine and the service all equal the
+    reference on every job; job ``i`` of each path gets
+    ``make_predictor(i)``. Returns the reference results."""
+    jobs = list(jobs)
+    expected = [reference_run(sim, j, make_predictor(i)) for i, j in enumerate(jobs)]
+    engine = ScoringEngine(SeqFactory(make_predictor), simulator=sim)
+    paths = {
+        "run": [sim.run(j, make_predictor(i)) for i, j in enumerate(jobs)],
+        "engine": [engine.run_job(j) for j in jobs],
+        "service": serve(sim, jobs, make_predictor),
+    }
+    for name, results in paths.items():
+        assert len(results) == len(expected), name
+        for exp, got in zip(expected, results):
+            assert_replay_equal(exp, got)
+    return expected
+
+
+def nurd(seed=0):
+    """Predictor factory: NURD seeded ``seed + job index``."""
+    return lambda i: NurdPredictor(random_state=seed + i)
 
 
 class TestNurdFlagParity:
@@ -49,73 +100,44 @@ class TestNurdFlagParity:
     def test_flags_bit_identical(self, family, google_trace, alibaba_trace):
         trace = google_trace if family == "google" else alibaba_trace
         sim = ReplaySimulator(n_checkpoints=8, random_state=0)
-        for i, job in enumerate(trace):
-            batch, inc = both_paths(sim, job, seed=i)
-            assert_replay_equal(batch, inc)
+        assert_paths_match_reference(sim, trace, nurd())
 
     def test_flags_bit_identical_nurd_nc(self, google_trace):
         sim = ReplaySimulator(n_checkpoints=6, random_state=3)
-        job = google_trace[0]
-        batch = sim.run(job, NurdNcPredictor(random_state=0))
-        inc = sim.run_incremental(job, NurdNcPredictor(random_state=0))
-        assert_replay_equal(batch, inc)
+        assert_paths_match_reference(
+            sim, google_trace[:1], lambda i: NurdNcPredictor(random_state=0)
+        )
 
     @pytest.mark.parametrize("method", ["GBTR", "KNN", "IFOREST"])
     def test_baseline_methods_parity(self, method, google_trace):
         """The stream is predictor-agnostic: baselines replay identically."""
-        job = google_trace[0]
         sim = ReplaySimulator(n_checkpoints=6, random_state=1)
-        batch = sim.run(job, build_predictor(method, contamination=0.1,
-                                             random_state=0))
-        inc = sim.run_incremental(
-            job, build_predictor(method, contamination=0.1, random_state=0)
+        assert_paths_match_reference(
+            sim,
+            google_trace[:1],
+            lambda i: build_predictor(method, contamination=0.1, random_state=0),
         )
-        assert_replay_equal(batch, inc)
 
     @pytest.mark.parametrize("grid", ["log", "time", "quantile"])
     def test_parity_across_grid_modes(self, grid, alibaba_trace):
-        job = alibaba_trace[1]
         sim = ReplaySimulator(n_checkpoints=6, grid=grid, random_state=5)
-        batch, inc = both_paths(sim, job, seed=2)
-        assert_replay_equal(batch, inc)
+        assert_paths_match_reference(sim, [alibaba_trace[1]], nurd(seed=2))
 
 
 class TestObservedFeatureParity:
-    """The delta-updated observation matrix equals the batch recomputation."""
-
-    def _noise_for(self, sim, job):
-        # The stream draws its noise exactly as the batch path does: first
-        # normal draw from the simulator seed, full feature shape.
-        rng = np.random.default_rng(sim.random_state)
-        return rng.normal(0.0, 1.0, size=job.features.shape)
-
     def test_observed_matrix_bitwise_every_checkpoint(self, google_trace):
+        """The plan's noise is the reference draw — first normal draw from
+        the simulator seed, full feature shape — so its observed matrix
+        equals the reference recomputation at every checkpoint."""
         job = google_trace[0]
         sim = ReplaySimulator(n_checkpoints=12, random_state=9)
-        noise = self._noise_for(sim, job)
-        stream = sim.stream(job, NurdPredictor(random_state=0))
-        refreshed_once = scored = 0
-        for tau in stream.checkpoints:
-            out = stream.step(tau)
-            if not out.scored:
-                # Skipped checkpoints consume no observations in either path.
-                continue
-            scored += 1
-            refreshed_once += out.refreshed_rows > 0
+        rng = np.random.default_rng(sim.random_state)
+        noise = rng.normal(0.0, 1.0, size=job.features.shape)
+        plan = sim.plan(job)
+        for tau in plan.grid:
             expected = sim.observed_features(job, float(tau), noise)
-            np.testing.assert_array_equal(stream.observed_features(), expected)
-        assert scored > 0 and refreshed_once > 0
-
-    def test_delta_path_touches_fewer_rows(self, google_trace):
-        """The incremental path must actually be incremental: total rows
-        refreshed stays well below a full per-checkpoint regeneration."""
-        job = google_trace[0]
-        sim = ReplaySimulator(n_checkpoints=12, random_state=9)
-        stream = sim.stream(job, NurdPredictor(random_state=0))
-        for tau in stream.checkpoints:
-            stream.step(tau)
-        full_cost = job.n_tasks * (stream.checkpoints.shape[0] + 1)
-        assert 0 < stream.refreshed_rows_total < 0.6 * full_cost
+            np.testing.assert_array_equal(plan.observed(tau), expected)
+        assert not np.array_equal(plan.observed(plan.warmup_time), job.features)
 
 
 class TestEdgeCaseParity:
@@ -125,7 +147,7 @@ class TestEdgeCaseParity:
 
     def test_duplicate_tasks(self):
         """Duplicated rows (identical features AND latencies) replay
-        identically down the incremental path."""
+        identically down every path."""
         rng = np.random.default_rng(0)
         X = rng.random((40, 4)) + 0.1
         y = rng.lognormal(0.0, 0.8, 40) + 0.1
@@ -133,21 +155,16 @@ class TestEdgeCaseParity:
         y = np.concatenate([y, y[:10]])
         job = self._job_with(X, y, job_id="dup")
         sim = ReplaySimulator(n_checkpoints=8, random_state=2)
-        batch, inc = both_paths(sim, job, seed=0)
-        assert_replay_equal(batch, inc)
+        assert_paths_match_reference(sim, [job], nurd())
 
     def test_zero_noise(self, google_trace):
         job = google_trace[1]
         sim = ReplaySimulator(n_checkpoints=8, feature_noise=0.0, random_state=0)
-        batch, inc = both_paths(sim, job, seed=1)
-        assert_replay_equal(batch, inc)
-        # With noise disabled the stream serves the exact feature matrix and
-        # refreshes nothing.
-        stream = sim.stream(job, NurdPredictor(random_state=1))
-        for tau in stream.checkpoints:
-            stream.step(tau)
-        assert stream.refreshed_rows_total == 0
-        assert stream.observed_features() is job.features
+        assert_paths_match_reference(sim, [job], nurd(seed=1))
+        # With noise disabled the plan serves the exact feature matrix.
+        plan = sim.plan(job)
+        for tau in plan.grid:
+            assert plan.observed(tau) is job.features
 
     def test_staggered_starts(self):
         rng = np.random.default_rng(4)
@@ -157,25 +174,23 @@ class TestEdgeCaseParity:
         starts = rng.uniform(0.0, 0.5 * y.max(), n)
         job = self._job_with(X, y, starts, job_id="staggered")
         sim = ReplaySimulator(n_checkpoints=10, random_state=7)
-        batch, inc = both_paths(sim, job, seed=3)
-        assert_replay_equal(batch, inc)
+        assert_paths_match_reference(sim, [job], nurd(seed=3))
 
     def test_all_tasks_finish_at_warmup(self):
         """Degenerate job: everything completes by the warmup instant, so no
         checkpoint ever has running tasks and no flag is issued; the F1
-        accessors must stay well-defined (satellite of ISSUE 6)."""
+        accessors must stay well-defined."""
         y = np.full(20, 5.0)
         X = np.column_stack([y, np.ones(20)])
         job = self._job_with(X, y, job_id="all-at-warmup")
         sim = ReplaySimulator(n_checkpoints=5, random_state=0)
-        batch, inc = both_paths(sim, job, seed=0)
-        assert_replay_equal(batch, inc)
-        assert not batch.y_flag.any()
-        assert np.isinf(batch.flag_times).all()
-        assert batch.f1 == 0.0
-        assert batch.f1_at_time(0.0) == 0.0
-        assert batch.f1_at_time(np.inf) == 0.0
-        curve = batch.streaming_f1(6)
+        (res,) = assert_paths_match_reference(sim, [job], nurd())
+        assert not res.y_flag.any()
+        assert np.isinf(res.flag_times).all()
+        assert res.f1 == 0.0
+        assert res.f1_at_time(0.0) == 0.0
+        assert res.f1_at_time(np.inf) == 0.0
+        curve = res.streaming_f1(6)
         assert curve.shape == (6,)
         np.testing.assert_array_equal(curve, np.zeros(6))
 
@@ -188,52 +203,28 @@ class TestEdgeCaseParity:
 
 
 class TestServingLayerParity:
-    """Engine and async service are the same stream: unbudgeted == batch."""
+    """Engine and async service step the same stream: unbudgeted, they
+    equal the reference job by job, with several jobs in flight."""
 
     def test_engine_unbudgeted_matches_batch(self, alibaba_trace):
         sim = ReplaySimulator(n_checkpoints=8, random_state=0)
+        make = nurd()
+        engine = ScoringEngine(SeqFactory(make), simulator=sim)
+        grids = [engine.checkpoint_grid(engine.begin_job(j)) for j in alibaba_trace]
+        # Interleave the jobs checkpoint by checkpoint.
+        for k in range(sim.n_checkpoints):
+            for job, grid in zip(alibaba_trace, grids):
+                engine.score_checkpoint(job.job_id, grid[k])
         for i, job in enumerate(alibaba_trace):
-            batch = sim.run(job, NurdPredictor(random_state=i))
-            engine = ScoringEngine(
-                lambda i=i: NurdPredictor(random_state=i), simulator=sim
-            )
-            assert_replay_equal(batch, engine.run_job(job))
+            expected = reference_run(sim, job, make(i))
+            assert_replay_equal(expected, engine.finish_job(job.job_id))
 
     def test_service_matches_batch(self, google_trace):
         sim = ReplaySimulator(n_checkpoints=6, random_state=0)
-        seeds = {job.job_id: i for i, job in enumerate(google_trace)}
-        batch = [
-            sim.run(job, NurdPredictor(random_state=seeds[job.job_id]))
-            for job in google_trace
-        ]
-
-        class _Factory:
-            """Service workers interleave jobs; seed by registration order."""
-
-            def __init__(self):
-                self.calls = 0
-
-            def __call__(self):
-                # ScorerService builds one predictor per BeginJob, in
-                # submission order; replay_trace submits trace order.
-                pred = NurdPredictor(random_state=self.calls)
-                self.calls += 1
-                return pred
-
-        async def run():
-            svc = ScorerService(
-                _Factory(),
-                simulator=sim,
-                config=ServiceConfig(n_workers=2, queue_depth=8),
-            )
-            await svc.start()
-            results = await svc.replay_trace(trace=google_trace)
-            await svc.stop()
-            return results
-
-        results = asyncio.run(run())
-        for b, r in zip(batch, results):
-            assert_replay_equal(b, r)
+        make = nurd()
+        results = serve(sim, google_trace, make)
+        for i, job in enumerate(google_trace):
+            assert_replay_equal(reference_run(sim, job, make(i)), results[i])
 
 
 class TestWarmPropensityEquivalence:
@@ -257,9 +248,7 @@ class TestWarmPropensityEquivalence:
         assert cold2.model_.n_iter_ < cold2.model_.max_iter  # converged
         assert warm.model_.n_iter_ < cold2.model_.n_iter_
         grid = rng.normal(0.0, 1.2, size=(50, 5))
-        np.testing.assert_allclose(
-            warm.score(grid), cold2.score(grid), atol=1e-5
-        )
+        np.testing.assert_allclose(warm.score(grid), cold2.score(grid), atol=1e-5)
         assert cold.model_.n_iter_ > 0
 
     def test_partial_update_refreshes_propensity_only(self, google_trace):
@@ -278,7 +267,7 @@ class TestWarmPropensityEquivalence:
         pred.partial_update(
             job.features[finished],
             job.latencies[finished],
-            stream.observed_features()[running],
+            stream.plan.observed(tau)[running],
         )
-        assert pred.h_ is h_before          # regressor untouched (cached)
-        assert pred.g_ is not g_before      # propensity refreshed
+        assert pred.h_ is h_before  # regressor untouched (cached)
+        assert pred.g_ is not g_before  # propensity refreshed
