@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import GoogleTraceGenerator, NurdPredictor, ReplaySimulator
-from repro.sim.scheduler import simulate_unlimited_machines
+from repro.sim import ClosedLoopSimulator, MitigationConfig
+
 
 def main() -> None:
     # 1. A synthetic Google-style job: 300 tasks, 15 monitored features.
@@ -35,14 +36,17 @@ def main() -> None:
     print(f"  TPR = {result.tpr:.2f}  FPR = {result.fpr:.2f}  "
           f"F1 = {result.f1:.2f}")
 
-    # 3. Mitigation: relaunch each flagged task on a fresh machine
-    #    (Algorithm 2 — unlimited machines).
-    outcome = simulate_unlimited_machines(result, random_state=0)
+    # 3. Mitigation: kill each flagged task and relaunch it on a fresh
+    #    machine (Algorithm 2 — unlimited machines: a spare per task).
+    unlimited = MitigationConfig(
+        policy="kill_restart", spares=job.n_tasks, random_state=0
+    )
+    outcome = ClosedLoopSimulator(unlimited).run(result)
     print("\nscheduling with Algorithm 2 (relaunch on flag):")
     print(f"  baseline JCT : {outcome.baseline_jct:10.1f}")
     print(f"  mitigated JCT: {outcome.mitigated_jct:10.1f}")
-    print(f"  reduction    : {outcome.reduction_pct:10.1f}%  "
-          f"({outcome.n_relaunched} relaunches)")
+    print(f"  reduction    : {outcome.jct_reduction_pct:10.1f}%  "
+          f"({outcome.n_actions} relaunches)")
 
     # 4. Streaming view (paper Fig. 2): F1 of the flags issued so far.
     curve = result.streaming_f1(10)

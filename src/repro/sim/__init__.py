@@ -1,10 +1,12 @@
-"""Online replay simulation: checkpoint streaming, schedulers, JCT accounting.
+"""Online replay simulation: checkpoint streaming, mitigation, JCT accounting.
 
 Mirrors the paper's evaluation methodology (§6): a simulator parses a trace
 into a time series and sends each predictor exactly the features that would
-be observable at each time checkpoint; schedulers (§5) then consume the
-predictions to relaunch stragglers and the harness measures job-completion
-time (JCT) reduction.
+be observable at each time checkpoint; one mitigation simulator then acts
+on the flags against a machine pool and measures job-completion time (JCT)
+reduction. Its ``kill_restart`` policy is the paper's relaunch scheduler
+(§5): Algorithm 2 with a spare per task, Algorithm 3 with a fixed cluster
+size (``MitigationConfig.machines``).
 """
 
 from repro.sim.cluster import MachinePool
@@ -25,11 +27,6 @@ from repro.sim.replay import (
     ReplayStream,
     StepOutcome,
 )
-from repro.sim.scheduler import (
-    simulate_unlimited_machines,
-    simulate_limited_machines,
-    jct_reduction,
-)
 
 __all__ = [
     "MachinePool",
@@ -46,7 +43,4 @@ __all__ = [
     "ReplayResult",
     "ReplayStream",
     "StepOutcome",
-    "simulate_unlimited_machines",
-    "simulate_limited_machines",
-    "jct_reduction",
 ]

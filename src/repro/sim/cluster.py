@@ -1,18 +1,19 @@
-"""Machine-pool model used by the limited-machines scheduler (Algorithm 3)
-and the closed-loop mitigation simulator.
+"""Machine-pool model of the closed-loop mitigation simulator.
 
-The pool tracks when spare machines become available. A job's n tasks occupy
-their original machines; a machine joins the spare pool when its (unflagged)
-task finishes or when a relaunched task completes. Machines that hosted a
-*flagged* task are retired — the paper relaunches "on a new machine" because
-the old one is implicated in the straggling.
+The pool is a min-heap of the times at which spare machines become
+available; spares exist from time 0. A mitigation action acquires the
+earliest machine and releases it when the action ends. Machines that hosted
+a *flagged* task are retired, never returned — the paper relaunches "on a
+new machine" because the old one is implicated in the straggling.
+
+A ``release`` beyond the outstanding acquisitions grows capacity. That is
+how a fixed-size cluster (``MitigationConfig.machines``) donates the
+machines of never-flagged tasks to the pool as those tasks finish; such
+donations are not counted in ``in_use``.
 
 For closed-loop reporting the pool also keeps occupancy counters:
 ``in_use`` (machines acquired and not yet released), ``peak_in_use`` (its
 high-water mark) and ``utilization`` (busy fraction of current capacity).
-A ``release`` beyond the outstanding acquisitions grows capacity — that is
-how the limited-machines scheduler donates freed original machines to the
-spare pool — and is counted separately from returns of acquired machines.
 """
 
 from __future__ import annotations

@@ -20,7 +20,10 @@ spirit (mitigation cost, prediction lag, spare capacity):
 - ``kill_restart`` — terminate the flagged task and relaunch it from
   scratch on a spare; the implicated original machine is retired. False
   positives carry the paper's full restart cost: the relaunch may well
-  finish *later* than the original would have.
+  finish *later* than the original would have. This is the paper's
+  relaunch scheduler (§5): Algorithm 2 when every task has a spare,
+  Algorithm 3 when ``machines`` fixes the cluster size. A task is killed
+  when it is flagged and its relaunch waits for the next free machine.
 - ``boost`` — admission throttling / credit-based resource boost: spend a
   credit (modeled as a pool slot) to shrink the task's *remaining* latency
   by ``boost_factor`` — e.g. by throttling co-located admissions or raising
@@ -64,6 +67,7 @@ class MitigationConfig:
         What a flag triggers.
     spares : int
         Spare machines (or boost credits) available per job at time 0.
+        Unused when ``machines`` is set.
     action_cost : float
         Setup seconds between winning a spare and the action taking effect
         (container pull, state transfer, cgroup reconfiguration).
@@ -77,6 +81,11 @@ class MitigationConfig:
     random_state : int
         Seed for the per-task relaunch-latency draws; runs with the same
         seed are bit-identical.
+    machines : int, optional
+        Cluster size per job (paper Algorithm 3). A job of ``n`` tasks
+        starts with ``max(0, machines - n)`` spares, and every never-flagged
+        task donates its machine to the pool when it finishes. ``None``
+        (default) uses the fixed ``spares`` instead.
     """
 
     policy: str = "speculative"
@@ -85,6 +94,7 @@ class MitigationConfig:
     prediction_lag: float = 0.0
     boost_factor: float = 0.5
     random_state: int = 0
+    machines: Optional[int] = None
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -97,6 +107,8 @@ class MitigationConfig:
             raise ValueError("prediction_lag must be non-negative.")
         if not 0.0 < self.boost_factor <= 1.0:
             raise ValueError("boost_factor must be in (0, 1].")
+        if self.machines is not None and self.machines < 1:
+            raise ValueError("machines must be >= 1.")
 
 
 @dataclass
@@ -229,7 +241,15 @@ class ClosedLoopSimulator:
         baseline = starts + y
         completion = baseline.copy()
         relaunch = self.relaunch_latencies(result, job_index)
-        pool = MachinePool(cfg.spares)
+        finite = np.isfinite(result.flag_times)
+        if cfg.machines is None:
+            pool = MachinePool(cfg.spares)
+        else:
+            # Algorithm 3: machines not hosting a task start spare, and
+            # each never-flagged task's machine joins them when it finishes.
+            pool = MachinePool(max(0, cfg.machines - y.shape[0]))
+            for t in baseline[~finite]:
+                pool.release(t)
         out = MitigationOutcome(
             job_id=result.job_id,
             policy=cfg.policy,
@@ -238,7 +258,7 @@ class ClosedLoopSimulator:
             start_times=starts,
         )
 
-        flagged_idx = np.nonzero(np.isfinite(result.flag_times))[0]
+        flagged_idx = np.nonzero(finite)[0]
         out.n_flagged = int(flagged_idx.shape[0])
         # Serve flags in (flag time, task index) order — deterministic and
         # causally faithful: earlier flags compete for spares first.

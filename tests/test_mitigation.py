@@ -4,6 +4,7 @@ arms, determinism and the serving-event bridge."""
 import numpy as np
 import pytest
 
+from repro.eval.harness import MethodResult
 from repro.serving import ScoringEngine
 from repro.sim.cluster import MachinePool
 from repro.sim.mitigation import (
@@ -184,6 +185,179 @@ class TestKillRestartPolicy:
         out = sim.run(res)
         relaunch = sim.relaunch_latencies(res, 0)
         assert out.mitigated_completions[0] == pytest.approx(2.0 + relaunch[0])
+
+
+def kill_restart(random_state=1, **knobs):
+    return ClosedLoopSimulator(
+        MitigationConfig(policy="kill_restart", random_state=random_state, **knobs)
+    )
+
+
+def staggered_result():
+    """120 tasks with staggered starts; true stragglers flagged 0.3 s in."""
+    rng = np.random.default_rng(3)
+    n = 120
+    latencies = rng.lognormal(0, 0.8, n) + 0.1
+    starts = rng.uniform(0, 3.0, n)
+    tau = float(np.quantile(latencies, 0.9))
+    flags = np.where(latencies >= tau, starts + 0.3, np.inf)
+    return make_result(latencies, flags, start_times=starts, tau_stra=tau)
+
+
+def converging_result():
+    """60 tasks starting at 0; true stragglers flagged at t=0.5."""
+    rng = np.random.default_rng(0)
+    latencies = rng.lognormal(0, 1, 60) + 0.1
+    tau = float(np.quantile(latencies, 0.9))
+    return make_result(latencies, np.where(latencies >= tau, 0.5, np.inf), tau_stra=tau)
+
+
+def assert_same_run(a, b):
+    np.testing.assert_array_equal(a.mitigated_completions, b.mitigated_completions)
+    assert a.n_actions == b.n_actions
+    assert a.pool_peak_in_use == b.pool_peak_in_use
+
+
+@pytest.fixture(scope="module")
+def nurd_replays(google_trace, alibaba_trace):
+    sim = ReplaySimulator(n_checkpoints=8, random_state=0)
+    return {
+        name: [sim.run(job, NurdPredictor(random_state=0)) for job in trace]
+        for name, trace in (("google", google_trace), ("alibaba", alibaba_trace))
+    }
+
+
+class TestPaperAlgorithms:
+    """Kill-and-relaunch as the paper's Algorithm 2 (a spare per task) and
+    Algorithm 3 (``machines`` per job, finished tasks donate machines)."""
+
+    def test_no_flags_no_change(self):
+        res = make_result([1.0, 2.0, 3.0, 4.0, 10.0])
+        for knobs in ({"spares": 5}, {"machines": 1}):
+            out = kill_restart(random_state=0, **knobs).run(res)
+            assert out.baseline_jct == out.mitigated_jct == 10.0
+            assert out.n_actions == 0
+
+    def test_early_flag_cuts_jct(self):
+        # The slowest task (latency 100) flagged at t=1; its relaunch is
+        # drawn from {1, 2, 3, 4, 100} — usually a big win.
+        res = make_result(
+            [1.0, 2.0, 3.0, 4.0, 100.0], [np.inf, np.inf, np.inf, np.inf, 1.0]
+        )
+        for knobs in ({"spares": 5}, {"machines": 5}):
+            reds = [
+                kill_restart(random_state=rs, **knobs).run(res).jct_reduction_pct
+                for rs in range(20)
+            ]
+            assert np.mean(reds) > 50.0
+
+    def test_false_positive_relaunch_can_hurt(self):
+        # A fast task killed at t=0.9 restarts from scratch, and every draw
+        # from {1, 2, 3, 10} makes it finish later than its original 1.0.
+        # On a four-machine cluster the relaunch also waits for task 1's
+        # machine to free up at t=2.
+        res = make_result([1.0, 2.0, 3.0, 10.0], [0.9, np.inf, np.inf, np.inf])
+        for knobs, start in (({"spares": 4}, 0.9), ({"machines": 4}, 2.0)):
+            sim = kill_restart(random_state=0, **knobs)
+            out = sim.run(res)
+            end = start + sim.relaunch_latencies(res, 0)[0]
+            assert out.mitigated_completions[0] == end
+            assert out.n_hurt == 1
+            assert out.mitigated_jct == max(10.0, end)
+
+    def test_machines_must_be_positive(self):
+        with pytest.raises(ValueError, match="machines"):
+            MitigationConfig(policy="kill_restart", machines=0)
+        MitigationConfig(policy="kill_restart", machines=1)
+
+    def test_relaunch_waits_for_a_machine(self):
+        # Four tasks on four machines: no spare at t=0. Both flagged tasks
+        # are killed at t=2; the first relaunch takes the machine task 2
+        # frees at t=1, the second waits for the next machine to free up.
+        res = make_result([10.0, 10.0, 1.0, 30.0], [2.0, 2.0, np.inf, np.inf])
+        sim = kill_restart(machines=4)
+        out = sim.run(res)
+        r = sim.relaunch_latencies(res, 0)
+        first = 2.0 + r[0]
+        assert out.mitigated_completions[0] == first
+        assert out.mitigated_completions[1] == min(first, 30.0) + r[1]
+        assert out.n_actions == 2 and out.n_denied == 0
+
+    def test_no_free_machine_keeps_task_running(self):
+        # Every task is flagged on a full cluster: nothing is ever donated,
+        # so each flag is denied and every task runs to completion.
+        res = make_result([1.0, 2.0, 3.0, 20.0], [0.5, 0.5, 0.5, 0.5])
+        out = kill_restart(machines=4).run(res)
+        assert out.n_denied == 4 and out.n_actions == 0
+        np.testing.assert_array_equal(
+            out.mitigated_completions, out.baseline_completions
+        )
+        one_spare = kill_restart(machines=5).run(res)
+        assert one_spare.n_actions == 4 and one_spare.pool_peak_in_use == 1
+
+    def test_donations_grow_capacity_not_in_use(self):
+        pool = MachinePool(initial_spares=1)
+        for t in (4.0, 1.0, 3.0):
+            pool.release(t)
+        assert pool.capacity == 4 and pool.total_released == 3
+        assert pool.in_use == 0 and pool.peak_in_use == 0
+        assert pool.acquire(2.0) == 2.0 and pool.in_use == 1
+        out = kill_restart(machines=1).run(staggered_result())
+        assert out.n_flagged > 0 and out.n_actions == out.n_flagged
+        assert out.pool_peak_in_use <= out.n_flagged
+
+    def test_run_many_empty_raises(self):
+        with pytest.raises(ValueError, match="no replay results"):
+            kill_restart(machines=10).run_many([])
+
+    def test_jct_reduction_pct_zero_baseline(self):
+        res = make_result([0.0, 0.0], start_times=[0.0, 0.0])
+        out = kill_restart(machines=2).run(res)
+        assert out.baseline_jct == 0.0
+        assert out.jct_reduction_pct == 0.0
+
+    def test_method_result_jct_reduction_is_mean_over_jobs(self):
+        res = make_result([1.0, 2.0, 100.0], [np.inf, np.inf, 1.0])
+        method = MethodResult("m", replays=[res] * 3)
+        for n_machines, knobs in ((None, {"spares": 3}), (3, {"machines": 3})):
+            outcomes = kill_restart(random_state=0, **knobs).run_many([res] * 3)
+            expected = np.mean([o.jct_reduction_pct for o in outcomes.outcomes])
+            value = method.jct_reduction(n_machines, random_state=0)
+            assert isinstance(value, float)
+            assert value == expected
+
+    def test_actions_monotone_in_machines(self):
+        res = staggered_result()
+        actions = [kill_restart(machines=m).run(res).n_actions for m in (1, 30, 300)]
+        assert actions[0] <= actions[1] <= actions[2]
+
+    def test_many_machines_equal_unlimited(self):
+        res = converging_result()
+        few = kill_restart(machines=2).run(res)
+        many = kill_restart(machines=10_000).run(res)
+        unlimited = kill_restart(spares=res.latencies.shape[0]).run(res)
+        assert many.n_actions >= few.n_actions
+        assert many.mitigated_jct <= few.mitigated_jct
+        assert_same_run(many, unlimited)
+
+    @pytest.mark.parametrize("make", [staggered_result, converging_result])
+    def test_ample_machines_bit_identical_to_spare_per_task(self, make):
+        res = make()
+        n = res.latencies.shape[0]
+        unlimited = kill_restart(spares=n).run(res, job_index=2)
+        for machines in (2 * n, 2 * n + 1, 10 * n):
+            ample = kill_restart(machines=machines).run(res, job_index=2)
+            assert_same_run(ample, unlimited)
+
+    @pytest.mark.parametrize("family", ["google", "alibaba"])
+    def test_ample_machines_bit_identical_on_nurd_replays(self, nurd_replays, family):
+        replays = nurd_replays[family]
+        assert sum(int(r.y_flag.sum()) for r in replays) > 0
+        for i, res in enumerate(replays):
+            n = res.latencies.shape[0]
+            unlimited = kill_restart(spares=n).run(res, job_index=i)
+            ample = kill_restart(machines=2 * n).run(res, job_index=i)
+            assert_same_run(ample, unlimited)
 
 
 class TestBoostPolicy:

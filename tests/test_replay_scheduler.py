@@ -1,17 +1,15 @@
-"""Tests for the replay simulator and the two schedulers (Algorithms 2–3)."""
+"""Tests for the replay simulator and the machine pool.
+
+Kill-and-relaunch under unlimited and limited machines (paper Algorithms
+2 and 3) is covered in ``tests/test_mitigation.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.base import OnlineStragglerPredictor
 from repro.sim.cluster import MachinePool
-from repro.sim.replay import ReplayResult, ReplaySimulator
-from repro.sim.scheduler import (
-    ScheduleOutcome,
-    jct_reduction,
-    simulate_limited_machines,
-    simulate_unlimited_machines,
-)
+from repro.sim.replay import ReplaySimulator
 from repro.traces.schema import Job
 
 
@@ -154,98 +152,6 @@ class TestReplaySimulator:
         assert curve.shape == (10,)
         assert curve[-1] == pytest.approx(res.f1)
         assert (np.diff(curve) >= -1e-12).all()  # cumulative flags: monotone
-
-
-def _replay_result(flag_times, latencies, starts=None, tau=None):
-    latencies = np.asarray(latencies, dtype=float)
-    flag_times = np.asarray(flag_times, dtype=float)
-    tau = tau or float(np.quantile(latencies, 0.9))
-    return ReplayResult(
-        job_id="test",
-        tau_stra=tau,
-        y_true=latencies >= tau,
-        y_flag=np.isfinite(flag_times),
-        flag_times=flag_times,
-        checkpoints=np.array([1.0]),
-        latencies=latencies,
-        start_times=None if starts is None else np.asarray(starts, dtype=float),
-    )
-
-
-class TestSchedulers:
-    def test_unlimited_no_flags_no_change(self):
-        res = _replay_result([np.inf] * 5, [1, 2, 3, 4, 10])
-        out = simulate_unlimited_machines(res, random_state=0)
-        assert out.baseline_jct == out.mitigated_jct == 10.0
-        assert out.n_relaunched == 0
-
-    def test_unlimited_early_flag_cuts_jct(self):
-        # The slowest task (latency 100) flagged at t=1; resampled latency
-        # comes from {1, 2, 3, 4} ∪ {100} — usually a big win.
-        lat = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
-        flags = np.array([np.inf, np.inf, np.inf, np.inf, 1.0])
-        outs = [
-            simulate_unlimited_machines(_replay_result(flags, lat, tau=50), rs)
-            for rs in range(20)
-        ]
-        assert np.mean([o.reduction_pct for o in outs]) > 50.0
-
-    def test_false_positive_relaunch_can_hurt(self):
-        # Flagging a fast task late can only delay it.
-        lat = np.array([1.0, 2.0, 3.0, 10.0])
-        flags = np.array([0.9, np.inf, np.inf, np.inf])
-        out = simulate_unlimited_machines(_replay_result(flags, lat, tau=9), 0)
-        assert out.mitigated_jct >= out.baseline_jct - 1e-9 or out.n_relaunched == 1
-
-    def test_limited_requires_positive_machines(self):
-        res = _replay_result([np.inf], [1.0])
-        with pytest.raises(ValueError):
-            simulate_limited_machines(res, 0)
-
-    def test_limited_converges_to_unlimited(self):
-        rng = np.random.default_rng(0)
-        lat = rng.lognormal(0, 1, 60) + 0.1
-        tau = float(np.quantile(lat, 0.9))
-        flags = np.where(lat >= tau, 0.5, np.inf)
-        res = _replay_result(flags, lat, tau=tau)
-        few = simulate_limited_machines(res, 2, random_state=1)
-        many = simulate_limited_machines(res, 10_000, random_state=1)
-        unl = simulate_unlimited_machines(res, random_state=1)
-        assert many.mitigated_jct <= few.mitigated_jct + 1e-9
-        assert many.n_relaunched >= few.n_relaunched
-        assert many.n_relaunched == unl.n_relaunched
-        assert many.mitigated_jct == pytest.approx(unl.mitigated_jct)
-
-    def test_limited_monotone_reduction_in_machines(self):
-        rng = np.random.default_rng(3)
-        n = 120
-        lat = rng.lognormal(0, 0.8, n) + 0.1
-        starts = rng.uniform(0, 3.0, n)
-        tau = float(np.quantile(lat, 0.9))
-        flags = np.where(lat >= tau, starts + 0.3, np.inf)
-        res = _replay_result(flags, lat, starts=starts, tau=tau)
-        relaunched = [
-            simulate_limited_machines(res, m, random_state=1).n_relaunched
-            for m in (1, 30, 300)
-        ]
-        assert relaunched[0] <= relaunched[1] <= relaunched[2]
-
-    def test_jct_reduction_mean(self):
-        lat = np.array([1.0, 2.0, 100.0])
-        flags = np.array([np.inf, np.inf, 1.0])
-        results = [_replay_result(flags, lat, tau=50)] * 3
-        val = jct_reduction(results, None, random_state=0)
-        assert isinstance(val, float)
-
-    def test_jct_reduction_empty(self):
-        with pytest.raises(ValueError):
-            jct_reduction([], None)
-
-    def test_schedule_outcome_reduction_pct(self):
-        out = ScheduleOutcome("j", baseline_jct=100.0, mitigated_jct=80.0, n_relaunched=1)
-        assert out.reduction_pct == pytest.approx(20.0)
-        zero = ScheduleOutcome("j", baseline_jct=0.0, mitigated_jct=0.0, n_relaunched=0)
-        assert zero.reduction_pct == 0.0
 
 
 class TestMachinePool:
